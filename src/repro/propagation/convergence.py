@@ -2,20 +2,22 @@
 
 LinBP converges iff ``rho(H~) < 1 / rho(W)``; the paper therefore rescales
 the centered compatibility matrix by ``epsilon = s / (rho(W) * rho(H~))``
-with a safety factor ``s`` (0.5 in the experiments).  The paper uses PyAMG's
-approximate spectral radius; we compute the same quantity with scipy's
-sparse eigensolver and fall back to power iteration, which only needs
-matrix-vector products and therefore scales to the largest graphs we build.
+with a safety factor ``s`` (0.5 in the experiments).  ``rho(W)`` enters only
+through a coarse ladder (:func:`quantize_radius`), so the cold sparse solve
+stops once it *proves* the rung; the small ``rho(H~)`` is a dense solve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, cg
 
 from repro import obs
 from repro.utils.matrix import to_csr
@@ -24,7 +26,6 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "spectral_radius",
-    "power_iteration_radius",
     "linbp_scaling",
     "SpectralState",
     "lanczos_spectral_state",
@@ -49,6 +50,12 @@ __all__ = [
 # convergence guarantee; every operation is exact in binary floating point,
 # so the rung choice is deterministic across machines and backends.
 RADIUS_LADDER_BITS = 7
+
+# Cold solves stop uncertified after this many Lanczos steps; past
+# BASIS_LIMIT basis vectors the recurrence restarts from its Ritz vector.
+CERTIFY_MAX_STEPS = 400
+BASIS_LIMIT = 32
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def quantize_radius(radius: float) -> float:
@@ -79,65 +86,14 @@ def radius_ladder_gap(radius: float) -> float:
     return min(fraction, 1.0 - fraction) * rung / radius
 
 
-def power_iteration_radius(
-    matrix, n_iterations: int = 100, tolerance: float = 1e-7, seed=0
-) -> float:
-    """Largest absolute eigenvalue via power iteration on ``A^T A``.
-
-    Works for any square matrix (dense or sparse); for the symmetric
-    adjacency and compatibility matrices used here the dominant singular
-    value equals the spectral radius.
-    """
-    rng = ensure_rng(seed)
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    previous = 0.0
-    estimate = 0.0
-    for _ in range(n_iterations):
-        product = matrix @ vector
-        if sp.issparse(product):
-            product = np.asarray(product.todense()).ravel()
-        norm = np.linalg.norm(product)
-        if norm == 0:
-            return 0.0
-        vector = np.asarray(product).ravel() / norm
-        estimate = norm
-        if abs(estimate - previous) <= tolerance * max(1.0, estimate):
-            break
-        previous = estimate
-    return float(estimate)
-
-
 def spectral_radius(matrix, seed=0) -> float:
-    """Spectral radius of a (sparse or dense) square matrix.
+    """Spectral radius of a square matrix.
 
-    Tries scipy's ARPACK eigensolver first (matching the accuracy of the
-    paper's PyAMG routine) and falls back to power iteration when ARPACK is
-    not applicable (tiny matrices, convergence failures).
+    Sparse input (a nonnegative symmetric adjacency): the certified cold
+    solve of :func:`lanczos_spectral_state`.  Dense input: ``eigvals``.
     """
     if sp.issparse(matrix):
-        matrix = to_csr(matrix)
-        n = matrix.shape[0]
-        if n > 2:
-            try:
-                # A seeded start vector makes ARPACK deterministic, so two
-                # runs on the same graph agree to the last bit (the cached
-                # operator layer and fresh computations must match exactly).
-                start = ensure_rng(seed).standard_normal(n)
-                values = spla.eigs(
-                    matrix.astype(np.float64),
-                    k=1,
-                    v0=start,
-                    return_eigenvectors=False,
-                    maxiter=1000,
-                )
-                return float(np.abs(values[0]))
-            except (spla.ArpackNoConvergence, RuntimeError, ValueError):
-                pass
-        return power_iteration_radius(matrix, seed=seed)
+        return lanczos_spectral_state(to_csr(matrix), seed=seed).radius
     dense = np.asarray(matrix, dtype=np.float64)
     if dense.shape[0] == 0:
         return 0.0
@@ -148,25 +104,11 @@ def spectral_radius(matrix, seed=0) -> float:
 class SpectralState:
     """Dominant eigenpair estimate of a symmetric matrix.
 
-    Attributes
-    ----------
-    radius:
-        Estimated spectral radius ``|lambda_max|``.
-    vector:
-        Unit-norm Ritz vector of the dominant eigenvalue.  Feeding it back
-        as ``v0`` after a small perturbation of the matrix makes the next
-        estimate converge in a handful of matrix-vector products — the warm
-        restart the streaming layer relies on.
-    n_steps:
-        Lanczos steps (= matrix-vector products) actually performed.
-    residual_bound:
-        Estimated eigenvalue error of ``radius``: the certified Ritz
-        residual ``beta_k |y_k|`` sharpened by Temple's inequality
-        (``residual^2 / ritz_gap``) when a gap estimate is available.  Lets
-        callers trust a coarse estimate — or detect that it must be
-        refined before a discrete decision (e.g. picking a scaling-ladder
-        rung) depends on it.  Zero for exact states (primed or
-        invariant-subspace exits).
+    ``vector`` is the unit Ritz vector (as ``v0`` after a small edge delta,
+    a warm restart); ``n_steps`` counts matrix-vector products;
+    ``residual_bound`` is a cold solve's proven bracket width (``rho`` in
+    ``[radius, radius + bound]``, or ``[radius - bound, radius]`` uncertified)
+    or a warm run's Temple-sharpened Ritz residual (0 at an invariant subspace).
     """
 
     radius: float
@@ -175,109 +117,177 @@ class SpectralState:
     residual_bound: float = 0.0
 
 
+def _lanczos(matrix, start: np.ndarray):
+    """Three-term Lanczos recurrence on a symmetric matrix, one product a step.
+
+    Yields ``(ritz_values, residual, exhausted, ritz_vector)``: ``residual =
+    beta_{k+1} |y_k| = ||A x - theta x||`` and ``ritz_vector()`` belong to the
+    largest Ritz pair, the only one used (no reorthogonalization).  Past
+    ``BASIS_LIMIT`` vectors the recurrence restarts from the Ritz vector.
+    """
+    current = start / np.linalg.norm(start)
+    while True:
+        previous, basis, alphas, betas = None, [current], [], []
+        while len(basis) <= BASIS_LIMIT:
+            product = np.asarray(matrix @ current, dtype=np.float64).ravel()
+            alphas.append(float(current @ product))
+            product -= alphas[-1] * current
+            if previous is not None:
+                product -= betas[-1] * previous
+            values, vectors = eigh_tridiagonal(alphas, betas)
+            beta = float(np.linalg.norm(product))
+            ritz = partial(_ritz_vector, vectors[:, -1], basis)
+            exhausted = beta <= 1e-14 * float(np.abs(values).max())  # exact pair
+            yield values, beta * abs(float(vectors[-1, -1])), exhausted, ritz
+            if exhausted:
+                return
+            betas.append(beta)
+            previous, current = current, product / beta
+            basis.append(current)
+        current = ritz()
+
+
+def _ritz_vector(weights: np.ndarray, basis: list) -> np.ndarray:
+    vector = np.zeros(basis[0].shape[0])
+    for weight, direction in zip(weights, basis):
+        vector += weight * direction
+    return vector / (np.linalg.norm(vector) or 1.0)
+
+
+def _bracket(matrix, vector: np.ndarray) -> tuple[float, float]:
+    """Proven ``lower <= rho(matrix) <= upper`` from one explicit vector.
+
+    ``x = A (|vector| + floor)`` is positive on every node with an edge; the
+    product smooths degree-1 leaves, where a Ritz vector is least accurate.
+    Symmetric ``A``: the Rayleigh quotient of ``x`` is ``<= rho``; nonnegative
+    ``A``: ``rho <= max_i (A x)_i / x_i`` (Collatz–Wielandt; 0 on edgeless
+    rows).  Both are widened by the worst-case rounding of their sums.
+    """
+    magnitudes = np.abs(vector)
+    magnitudes += 2.0 ** -40 * (magnitudes.max() or 1.0)
+    smoothed = matrix @ magnitudes
+    image = matrix @ smoothed
+    norm = float(smoothed @ smoothed)
+    if norm == 0.0:
+        return 0.0, 0.0  # A = 0
+    widest = int(np.diff(matrix.indptr).max())
+    lower = float(smoothed @ image) / norm * (1.0 - (widest + 2 * len(vector) + 3) * _EPS)
+    np.divide(image, smoothed, out=image, where=smoothed > 0)  # image is 0 elsewhere
+    return lower, float(image.max()) * (1.0 + (widest + 3) * _EPS)
+
+
+def _shifted_bracket(matrix, target: float, max_steps: int) -> tuple[float, float, int]:
+    """:func:`_bracket` of ``x = (target I - A)^-1 1``, by conjugate gradients.
+
+    The fallback where the Ritz vector carries no information: components
+    it does not converge on (a hub there can hold the ratio above the rung)
+    and nodes whose Perron entry falls below rounding (long paths).  If
+    ``rho < target``, ``(target I - A)^-1 = sum_k A^k / target^(k+1) >= 0``:
+    once CG's residual has ``||r|| <= 1/2``, ``A x = target x - (1 - r)``.
+    """
+    shifted = LinearOperator(matrix.shape, lambda v: target * v - matrix @ v, dtype=np.float64)
+    iterations = itertools.count()  # one product each (x0 = 0 costs none)
+    with np.errstate(all="ignore"):  # rho == target: singular, CG breaks down
+        solution, _ = cg(shifted, np.ones(matrix.shape[0]), atol=0.5, maxiter=max_steps,
+                         callback=lambda _: next(iterations))
+    if not np.isfinite(solution).all():
+        return 0.0, math.inf, next(iterations)
+    return (*_bracket(matrix, solution), next(iterations) + 2)
+
+
+def _certified_solve(matrix, start: np.ndarray, max_steps: int):
+    """``(lower, upper, ritz_vector, products)`` once the rung is proven.
+
+    A bracket costs two products: tried once the Ritz residual is 1/16 of
+    the Ritz value's distance to its rung's top (power-law graphs certify at
+    ~1/20-1/32), then each time it halves; open at 1/1024, or stalled, once
+    with :func:`_shifted_bracket`.
+    """
+    if matrix.nnz and float(matrix.data.min()) < 0:
+        raise ValueError("the spectral radius solve needs a nonnegative matrix")
+    products, checked, shifted = 0, math.inf, False
+    for steps, (values, residual, exhausted, ritz) in enumerate(_lanczos(matrix, start), 1):
+        theta = float(values[-1])
+        headroom = quantize_radius(theta) - theta
+        stalled = exhausted or steps >= max_steps or residual <= 64 * _EPS * abs(theta)
+        if not (stalled or residual <= min(headroom / 16, checked / 2)):
+            continue
+        checked, vector = residual, ritz()
+        lower, upper = _bracket(matrix, vector)
+        products += 2
+        if not shifted and quantize_radius(lower) != quantize_radius(upper) and (
+            stalled or residual <= headroom / 1024
+        ):
+            shifted = True
+            shifted_lower, shifted_upper, used = _shifted_bracket(
+                matrix, quantize_radius(lower), max_steps
+            )
+            lower, upper = max(lower, shifted_lower), min(upper, shifted_upper)
+            products += used
+        if stalled or quantize_radius(lower) == quantize_radius(upper):
+            break
+    return lower, upper, vector, steps + products
+
+
 def lanczos_spectral_state(
     matrix,
     v0: np.ndarray | None = None,
-    max_steps: int = 60,
-    tolerance: float = 1e-9,
+    max_steps: int = CERTIFY_MAX_STEPS,
+    tolerance: float | None = None,
     seed=0,
 ) -> SpectralState:
-    """Dominant eigenpair of a *symmetric* matrix via the Lanczos iteration.
+    """Dominant eigenpair of a symmetric matrix via the Lanczos iteration.
 
-    Unlike :func:`spectral_radius` (the batch path, backed by ARPACK at
-    machine precision) this routine exposes the start vector, which is what
-    makes it incremental: after an edge delta, the previous Ritz vector is
-    an excellent ``v0`` and the iteration typically converges in < 15 steps
-    instead of ARPACK's hundreds of implicitly-restarted products.
-
-    The three-term recurrence is run without reorthogonalization — safe
-    here because we only ever need the extremal eigenvalue and stop as soon
-    as the Ritz value stabilizes to ``tolerance`` (relative).  Symmetry of
-    the input is assumed, not checked.
+    ``tolerance=None`` (the cold solve): stop once ``quantize_radius(lower)
+    == quantize_radius(upper)`` for the bracket of :func:`_bracket` and
+    return ``lower``; the matrix must be nonnegative (else ``ValueError``)
+    and symmetric (assumed).  Still open after ``max_steps`` steps, ``rho``
+    sits within rounding of a rung boundary: return ``upper``, so the rung
+    errs high.  A float ``tolerance`` (warm refreshes): stop once the Ritz
+    value is stable to it (relative).  Without ``v0`` the start is a seeded
+    positive vector, positive along every component's Perron vector.
     """
     check_positive(max_steps, "max_steps")
-    warm_started = v0 is not None
     n = matrix.shape[0]
     if n == 0:
         return SpectralState(0.0, np.zeros(0), 0)
-    if v0 is None:
-        v0 = ensure_rng(seed).standard_normal(n)
-    vector = np.asarray(v0, dtype=np.float64).ravel()
-    if vector.shape[0] != n:
-        raise ValueError(
-            f"v0 has length {vector.shape[0]} for a {n}x{n} matrix"
-        )
-    norm = np.linalg.norm(vector)
-    if norm == 0:
-        vector = ensure_rng(seed).standard_normal(n)
-        norm = np.linalg.norm(vector)
-    basis = [vector / norm]
-    alphas: list[float] = []
-    betas: list[float] = []
-    previous = None
-    radius = 0.0
-    residual_bound = float("inf")
-    ritz_weights = np.ones(1)
-    for step in range(max_steps):
-        product = matrix @ basis[-1]
-        if sp.issparse(product):  # pragma: no cover - defensive
-            product = np.asarray(product.todense()).ravel()
-        product = np.asarray(product, dtype=np.float64).ravel()
-        alpha = float(basis[-1] @ product)
-        product -= alpha * basis[-1]
-        if step > 0:
-            product -= betas[-1] * basis[-2]
-        alphas.append(alpha)
-        tridiagonal = np.diag(alphas)
-        for index, beta in enumerate(betas):
-            tridiagonal[index, index + 1] = beta
-            tridiagonal[index + 1, index] = beta
-        eigenvalues, eigenvectors = np.linalg.eigh(tridiagonal)
-        dominant = int(np.argmax(np.abs(eigenvalues)))
-        radius = float(abs(eigenvalues[dominant]))
-        ritz_weights = eigenvectors[:, dominant]
-        beta = float(np.linalg.norm(product))
-        # Lanczos residual identity: ||A x - theta x|| = beta_{k+1} |y_k|
-        # for the Ritz pair assembled from the current basis.  For the
-        # *eigenvalue* the linear bound is wildly pessimistic — symmetric
-        # Ritz values converge quadratically — so sharpen it with Temple's
-        # inequality, |lambda - theta| <= residual^2 / gap, using the Ritz
-        # spread as the gap estimate once a second Ritz value exists.
-        residual = beta * float(abs(ritz_weights[-1]))
-        residual_bound = residual
-        if eigenvalues.shape[0] > 1:
-            others = np.delete(np.abs(eigenvalues), dominant)
-            gap = float(np.abs(others - radius).min())
-            if gap > residual:
-                residual_bound = residual * residual / gap
-        if previous is not None and abs(radius - previous) <= tolerance * max(
-            radius, 1e-300
-        ):
-            break
-        previous = radius
-        if beta < 1e-14:
-            residual_bound = 0.0
-            break  # invariant subspace: the estimate is exact
-        betas.append(beta)
-        basis.append(product / beta)
-    ritz_vector = np.zeros(n)
-    for weight, direction in zip(ritz_weights, basis):
-        ritz_vector += weight * direction
-    norm = np.linalg.norm(ritz_vector)
-    if norm > 0:
-        ritz_vector /= norm
+    start = np.zeros(n) if v0 is None else np.asarray(v0, dtype=np.float64).ravel()
+    if start.shape[0] != n:
+        raise ValueError(f"v0 has length {start.shape[0]} for a {n}x{n} matrix")
+    if not start.any():
+        start = 1.0 + ensure_rng(seed).random(n)
+    certified = True
+    if tolerance is None:
+        with obs.span("spectral.certify", nodes=n) as solve_span:
+            lower, upper, vector, steps = _certified_solve(to_csr(matrix), start, max_steps)
+            certified = quantize_radius(lower) == quantize_radius(upper)
+            solve_span.annotate(products=steps, certified=certified)
+        state = SpectralState(lower if certified else upper, vector, steps, upper - lower)
+    else:
+        previous = None
+        for steps, (values, residual, exhausted, ritz) in enumerate(_lanczos(matrix, start), 1):
+            theta = float(values[-1])
+            stable = previous is not None and abs(theta - previous) <= tolerance * theta
+            if exhausted or stable or steps >= max_steps:
+                break
+            previous = theta
+        # Temple: |lambda - theta| <= residual^2 / gap, the Ritz spread as gap.
+        bound = 0.0 if exhausted else residual
+        if bound and values.shape[0] > 1 and theta - values[-2] > residual:
+            bound = residual * residual / float(theta - values[-2])
+        state = SpectralState(theta, ritz(), steps, bound)
     if obs.enabled():
+        # start="cold": certified solves; start="warm": tolerance runs.
         registry = obs.metrics()
-        warm = "warm" if warm_started else "cold"
-        registry.counter(
-            "repro_lanczos_runs_total", "Lanczos spectral-state computations.",
-            start=warm,
-        ).inc()
         registry.histogram(
-            "repro_lanczos_steps", "Lanczos steps (matvecs) per run.",
-            buckets=obs.ITERATION_BUCKETS, start=warm,
-        ).observe(len(alphas))
-    return SpectralState(radius, ritz_vector, len(alphas), residual_bound)
+            "repro_lanczos_steps", "Matrix-vector products per Lanczos run.",
+            buckets=obs.ITERATION_BUCKETS, start="cold" if tolerance is None else "warm",
+        ).observe(state.n_steps)
+        if not certified:
+            registry.counter(
+                "repro_spectral_uncertified_total", "Cold rho(W) solves left uncertified."
+            ).inc()
+    return state
 
 
 def linbp_scaling(
@@ -285,16 +295,13 @@ def linbp_scaling(
 ) -> float:
     """The scaling factor ``epsilon`` that guarantees LinBP convergence.
 
-    Returns ``epsilon = safety / (ceil_ladder(rho(W)) * rho(H~))`` so that
-    the scaled compatibility matrix satisfies the convergence condition of
-    Eq. 2 with a margin of ``safety`` (the paper uses ``s = 0.5``).
-    ``rho(W)`` is snapped up onto the scaling ladder (see
-    :func:`quantize_radius`) before use, so streaming re-estimates that
-    drift by less than a rung reproduce the batch scaling exactly.
+    ``epsilon = safety / (ceil_ladder(rho(W)) * rho(H~))`` meets Eq. 2's
+    convergence condition with margin ``safety`` (the paper uses 0.5).  The
+    one implementation is :meth:`~repro.graph.operators.GraphOperators.linbp_scaling`.
     """
+    from repro.graph.operators import operators_for
+
     check_positive(safety, "safety")
-    radius_w = spectral_radius(adjacency, seed=seed)
-    radius_h = spectral_radius(np.asarray(centered_compatibility), seed=seed)
-    if radius_w == 0 or radius_h == 0:
-        return 1.0
-    return float(safety / (quantize_radius(radius_w) * radius_h))
+    return operators_for(adjacency).linbp_scaling(
+        centered_compatibility, safety=safety, seed=seed
+    )

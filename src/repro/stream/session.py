@@ -10,8 +10,8 @@ a batch pipeline would rebuild from scratch after every change:
   the graph object so no stale normalization can leak,
 * a warm dominant-eigenpair estimate of the adjacency, advanced by a
   Lanczos restart from the previous Ritz vector (a handful of matrix-vector
-  products, versus a fresh ARPACK solve at machine precision) whenever the
-  selected propagator's convergence scaling depends on ``rho(W)``,
+  products, versus a certified cold solve) whenever the selected
+  propagator's convergence scaling depends on ``rho(W)``,
 * the compatibility matrix and the visible seed labels,
 * the last :class:`~repro.propagation.engine.PropagationResult`, from which
   the next solve warm-starts through
@@ -60,10 +60,8 @@ __all__ = ["StreamStep", "StreamingSession"]
 _SESSION_IDS = itertools.count()
 
 # Warm Lanczos restarts: few steps, tight Ritz tolerance — the estimate must
-# track the batch ARPACK value to ~1e-9 relative so that warm and full
-# solves agree on LinBP's epsilon far below the belief tolerance.
-ANCHOR_LANCZOS_STEPS = 200
-ANCHOR_LANCZOS_TOLERANCE = 1e-11
+# land on the rung of a certified cold solve (the anchor solve is one), so
+# that warm and full solves agree on LinBP's epsilon.
 WARM_LANCZOS_STEPS = 60
 WARM_LANCZOS_TOLERANCE = 2e-8
 # Spectral refresh ahead of a *localized* solve: the scaling only consumes
@@ -71,7 +69,7 @@ WARM_LANCZOS_TOLERANCE = 2e-8
 # a handful of warm steps at a loose Ritz tolerance almost always resolves
 # the rung.  The refresh is re-run at full warm quality only when the
 # coarse estimate sits within LADDER_REFINE_GUARD (relative) of a rung
-# boundary — or when its certified residual bound says the estimate itself
+# boundary — or when its residual bound says the estimate itself
 # cannot be trusted to that guard — so the expensive tight restart is paid
 # on the rare boundary-straddling step, not on every delta.
 LOCALIZED_LANCZOS_STEPS = 20
@@ -423,18 +421,14 @@ class StreamingSession:
         ``coarse`` loosens its Ritz tolerance (the localized path passes
         both); a coarse estimate is automatically refined at full warm
         quality when it lands too close to a scaling-ladder rung boundary
-        for its certified error bound.  Anchor solves always run at full
-        quality.
+        for its error bound.  Anchor solves are certified cold solves.
         """
         if not self._tracks_spectrum:
             return 0.0, None
         start = time.perf_counter()
         if self._spectral is None:
             state = lanczos_spectral_state(
-                self.graph.adjacency,
-                max_steps=ANCHOR_LANCZOS_STEPS,
-                tolerance=ANCHOR_LANCZOS_TOLERANCE,
-                seed=self.spectral_seed,
+                self.graph.adjacency, seed=self.spectral_seed
             )
         else:
             vector = self._spectral.vector
