@@ -63,9 +63,6 @@ def bench_propagators(
         graph.require_labels(), fraction=label_fraction, rng=seed
     )
 
-    # One untimed warmup per kernel backend (absorbs numba JIT compilation
-    # when that backend is active) so timed calls see steady-state kernels.
-    kernels.warmup()
     print(f"kernel backend: {kernels.active_backend()}")
 
     results: dict = {

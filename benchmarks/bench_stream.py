@@ -28,9 +28,7 @@ check still compares identical fixed points.
 plus the max belief deviation of the incremental *and* localized answers
 against the full rebuild (the correctness contract: ≤ 1e-6).
 
-One untimed warmup solve runs per kernel backend before measurement (on the
-numba backend this absorbs JIT compilation), and the backend name is
-recorded in the output JSON.
+The kernel backend name (always ``numpy``) is recorded in the output JSON.
 
 A large tier (1M nodes / 2M edges by default) measuring localized vs the
 plain warm path runs when ``--large`` is passed or ``REPRO_BENCH_LARGE`` is
@@ -461,11 +459,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # One untimed warmup per kernel backend: on numba this absorbs the JIT
-    # compile so the timed cells see steady-state kernels.
-    kernels.warmup()
-    print(f"kernel backend: {kernels.active_backend()} "
-          f"(available: {', '.join(kernels.available_backends())})")
+    print(f"kernel backend: {kernels.active_backend()}")
 
     compatibility = skew_compatibility(args.classes, h=3.0)
     graph = generate_graph(

@@ -54,9 +54,12 @@ exits with a one-line error listing the valid choices, never a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -830,9 +833,28 @@ def _write_port_file(path: str | None, port: int) -> None:
         Path(path).write_text(f"{port}\n")
 
 
+@contextlib.contextmanager
+def _sigterm_as_interrupt():
+    """Route SIGTERM into the Ctrl-C shutdown path while serving."""
+    if threading.current_thread() is not threading.main_thread():
+        yield  # signal handlers can only be installed from the main thread
+        return
+
+    def interrupt(signum, frame):
+        # One shutdown at a time: a second SIGTERM (say, to the whole
+        # process group) must not interrupt the cleanup the first started.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _serve_router(args: argparse.Namespace) -> int:
     """``repro serve --workers N``: router + supervised worker pool."""
-    from repro.serve import ServeError
     from repro.serve.router import Router, make_router_server
 
     worker_args = [
@@ -860,10 +882,42 @@ def _serve_router(args: argparse.Namespace) -> int:
         queue_dir=args.queue_dir,
         worker_args=worker_args,
     )
+    server = None
+    # From the first spawn on, every exit — Ctrl-C, SIGTERM, a failed
+    # preload or bind — terminates the worker pool.
+    with _sigterm_as_interrupt():
+        try:
+            _start_router(args, router)
+            try:
+                server = make_router_server(
+                    router, host=args.host, port=args.port, log_json=args.log_json
+                )
+            except OSError as exc:
+                raise CLIError(
+                    f"could not bind {args.host}:{args.port}: {exc}"
+                ) from exc
+            _write_port_file(args.port_file, server.server_address[1])
+            print(f"routing on http://{args.host}:{server.server_address[1]} "
+                  f"[{args.workers} worker(s), placement by session name] — "
+                  f"Ctrl-C to stop")
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("shutting down fleet")
+        finally:
+            if server is not None:
+                server.close()
+            else:
+                router.close()
+    return 0
+
+
+def _start_router(args: argparse.Namespace, router) -> None:
+    """Spawn the worker pool and preload ``args.graph`` if one was given."""
+    from repro.serve import ServeError
+
     try:
         router.start()
     except ServeError as exc:
-        router.close()
         raise CLIError(str(exc)) from exc
     print(f"spawned {args.workers} worker(s): "
           + ", ".join(h.url for h in router.workers))
@@ -884,37 +938,16 @@ def _serve_router(args: argparse.Namespace) -> int:
             payload["hash"] = args.graph
         else:
             if not Path(args.graph).exists():
-                router.close()
                 raise CLIError(f"graph file not found: {args.graph}")
             payload["path"] = args.graph
         status, body = router.handle_load(payload)
         if status != 201:
-            router.close()
             raise CLIError(f"preload failed ({status}): "
                            f"{body.decode('utf-8', 'replace')}")
         owner = router.place(args.name)
         print(f"loaded {args.name!r} on worker {owner}")
     elif args.from_store:
-        router.close()
         raise CLIError("--from-store needs a record hash as the GRAPH argument")
-    try:
-        server = make_router_server(
-            router, host=args.host, port=args.port, log_json=args.log_json
-        )
-    except OSError as exc:
-        router.close()
-        raise CLIError(f"could not bind {args.host}:{args.port}: {exc}") from exc
-    _write_port_file(args.port_file, server.server_address[1])
-    print(f"routing on http://{args.host}:{server.server_address[1]} "
-          f"[{args.workers} worker(s), placement by session name] — "
-          f"Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down fleet")
-    finally:
-        server.close()
-    return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -996,12 +1029,13 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     print(f"serving on http://{args.host}:{server.server_address[1]} "
           f"[{mode}] — Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.close()
+    with _sigterm_as_interrupt():
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("shutting down")
+        finally:
+            server.close()
     return 0
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.graph.graph import one_hot_labels
 from repro.graph.operators import GraphOperators
-from repro.propagation import kernels
 from repro.propagation.engine import (
     Propagator,
     fixed_point_iterate,
@@ -84,25 +83,12 @@ class HarmonicPropagator(Propagator):
         clamped = self._dense(one_hot_labels(seed_labels, n_classes), dtype=self.dtype)
         seeded = seed_labels >= 0
 
-        if kernels.use_fused_dense():
-            # Same clamping expressed linearly: zeroed seed rows plus a
-            # pinned offset reproduce ``averaged[seeded] = clamped[seeded]``.
-            rowscale = operators.inverse_degrees.astype(self.dtype)
-            rowscale[seeded] = 0.0
-            offset = np.zeros_like(clamped)
-            offset[seeded] = clamped[seeded]
-            step = kernels.make_fused_step(
-                operators.cast_adjacency(self.dtype),
-                rowscale, np.ones(operators.n_nodes, dtype=self.dtype),
-                None, offset,
-            )
-        else:
-            averaging = operators.row_normalized
+        averaging = operators.row_normalized
 
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-                averaged = np.asarray(averaging @ current)
-                averaged[seeded] = clamped[seeded]
-                return averaged
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            averaged = np.asarray(averaging @ current)
+            averaged[seeded] = clamped[seeded]
+            return averaged
 
         initial = clamped
         if warm_start is not None:

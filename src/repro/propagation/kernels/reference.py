@@ -1,13 +1,8 @@
-"""Pure-numpy reference kernels for the localized propagation layer.
+"""Numpy/scipy kernels for the localized propagation layer.
 
-These are the fallback implementations selected when numba is absent (or
-``REPRO_KERNELS=numpy``).  They are also the *semantic specification* of the
-jitted kernels in :mod:`repro.propagation.kernels.jit`: the scatter order is
-deliberately source-major in CSR position order (``np.add.at`` applies its
-updates sequentially in element order), and the next frontier is the sorted
-unique set of touched rows, so the numba backend can reproduce the floating
-point accumulation order exactly — the test suite asserts numpy and numba
-push outputs match bitwise.
+The next frontier is the sorted unique set of touched rows, so a push is
+deterministic.  The test suite checks every kernel against the dense
+residual formula.
 
 All kernels operate on one linear fixed point ``F = B + A F C`` where
 ``A = diag(rowscale) @ W @ diag(colscale)`` over the raw symmetric CSR
@@ -28,7 +23,7 @@ try:  # scipy's C kernel behind ``csc @ dense``; None falls back to the
 except ImportError:  # pragma: no cover - defensive
     _csc_tools = None
 
-__all__ = ["full_residual", "seed_residual_rows", "push_rounds", "fused_sweep"]
+__all__ = ["full_residual", "seed_residual_rows", "push_rounds"]
 
 
 def _rows_over(block: np.ndarray, epsilon: float) -> np.ndarray:
@@ -110,8 +105,7 @@ def seed_residual_rows(indptr, indices, data, rowscale, colscale, coupling,
 # A round whose frontier neighborhood exceeds this share of the stored
 # nonzeros runs as one full row-major sweep instead of a sparse scatter:
 # past that point slicing + transposed matmat costs more than the plain
-# matvec it is trying to avoid.  The branch condition is exact integer
-# arithmetic so the numba twin takes the same branch on the same state.
+# matvec it is trying to avoid.
 DENSE_ROUND_NNZ_MULTIPLE = 4
 
 
@@ -143,8 +137,8 @@ def push_rounds(indptr, indices, data, rowscale, colscale, coupling,
     marked = np.zeros(n, dtype=bool)
     # Multiplying by an exactly-1.0 scale is a bitwise identity for every
     # float (including -0.0 and NaN), so the unit-scale hot path — linbp
-    # and other identity-scaled systems — may skip those multiplies without
-    # perturbing parity with the jitted twin, which always applies them.
+    # and other identity-scaled systems — skips those multiplies without
+    # changing a bit of the result.
     unit_cols = bool(np.all(colscale == 1.0))
     unit_rows = bool(np.all(rowscale == 1.0))
     touched_nnz = 0
@@ -184,9 +178,7 @@ def push_rounds(indptr, indices, data, rowscale, colscale, coupling,
             continue
         # Narrow frontier: the scatter is a sparse matmat — column u of the
         # symmetric W is CSR row u, so W[frontier].T @ (colscale-scaled
-        # push) lands each delta's mass on its neighbors, and csc_matvecs
-        # accumulates source-major in CSR position order, the exact order
-        # the jit twin reproduces.
+        # push) lands each delta's mass on its neighbors.
         sub = matrix[frontier]
         touched_nnz += sub_nnz
         marked[sub.indices] = True
@@ -215,21 +207,3 @@ def push_rounds(indptr, indices, data, rowscale, colscale, coupling,
         frontier = candidates[_rows_over(updated, epsilon)]
     return rounds, bool(frontier.shape[0] == 0), touched_nnz, max_frontier
 
-
-def fused_sweep(indptr, indices, data, rowscale, colscale, coupling,
-                offset, current, out) -> np.ndarray:
-    """One dense sweep ``out = B + A X C`` (gather-scale-scatter fused).
-
-    The numpy variant composes the scipy product with the scale vectors; the
-    jitted variant runs it as one loop over CSR rows.  Used by the dense
-    propagator paths when the numba backend is active.
-    """
-    matrix = _csr(indptr, indices, data)
-    propagated = np.asarray(matrix @ (current * colscale[:, None]))
-    propagated *= rowscale[:, None]
-    if coupling is not None:
-        np.matmul(propagated, coupling, out=out)
-    else:
-        out[:] = propagated
-    out += offset
-    return out

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.graph.graph import one_hot_labels
 from repro.graph.operators import GraphOperators
-from repro.propagation import kernels
 from repro.propagation.engine import (
     Propagator,
     fixed_point_iterate,
@@ -86,21 +85,13 @@ class LGCPropagator(Propagator):
         alpha = self.alpha
         fidelity = (1.0 - alpha) * clamped
 
-        if kernels.use_fused_dense():
-            inv_sqrt = np.sqrt(operators.inverse_degrees).astype(self.dtype)
-            step = kernels.make_fused_step(
-                operators.cast_adjacency(self.dtype),
-                (alpha * inv_sqrt).astype(self.dtype), inv_sqrt,
-                None, fidelity,
-            )
-        else:
-            smooth = operators.symmetric_normalized
+        smooth = operators.symmetric_normalized
 
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-                smoothed = np.asarray(smooth @ current)
-                np.multiply(smoothed, alpha, out=smoothed)
-                smoothed += fidelity
-                return smoothed
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            smoothed = np.asarray(smooth @ current)
+            np.multiply(smoothed, alpha, out=smoothed)
+            smoothed += fidelity
+            return smoothed
 
         initial = clamped
         if warm_start is not None:

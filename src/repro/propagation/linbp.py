@@ -18,8 +18,8 @@ as the ``linbp_echo`` propagator.
 and :func:`propagate_and_label` are thin backwards-compatible wrappers.  When
 called with a :class:`~repro.graph.graph.Graph`, the convergence scaling
 ``epsilon`` (which needs the graph's spectral radius) comes from the cached
-operator layer, so repeated runs on the same graph never re-run the power
-iteration.
+operator layer, so repeated runs on the same graph never re-solve the
+spectral radius.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.operators import GraphOperators
-from repro.propagation import kernels
 from repro.propagation.engine import (
     Propagator,
     fixed_point_iterate,
@@ -96,13 +95,6 @@ class LinBPPropagator(Propagator):
         Include the echo-cancellation correction term (ablation only).
     scaling:
         Explicit epsilon; overrides the automatic choice when provided.
-    mixed_precision_warm:
-        When resuming from a warm start with float64 iterates, run the bulk
-        of the remaining sweeps in float32 (half the memory traffic) and
-        only polish the final stretch in float64.  The polish converges to
-        the same float64 fixed point within ``tolerance``, so results agree
-        with a pure-float64 resume to the solver tolerance; disable for
-        bit-level reproducibility of warm runs.
     """
 
     name = "linbp"
@@ -119,7 +111,6 @@ class LinBPPropagator(Propagator):
         center: bool = True,
         echo_cancellation: bool = False,
         scaling: float | None = None,
-        mixed_precision_warm: bool = True,
     ) -> None:
         super().__init__(max_iterations=max_iterations, tolerance=tolerance, dtype=dtype)
         check_positive(safety, "safety")
@@ -127,7 +118,6 @@ class LinBPPropagator(Propagator):
         self.center = bool(center)
         self.echo_cancellation = bool(echo_cancellation)
         self.scaling = scaling
-        self.mixed_precision_warm = bool(mixed_precision_warm)
         # Epsilon depends on rho(W) unless pinned explicitly, in which case
         # the streaming session need not track the spectral radius at all.
         self.uses_spectral_scaling = scaling is None
@@ -236,22 +226,16 @@ class LinBPPropagator(Propagator):
         degrees = operators.degrees.astype(self.dtype) if echo else None
         echo_modulation = modulation @ modulation if echo else None
 
-        if not echo and kernels.use_fused_dense():
-            ones = np.ones(operators.n_nodes, dtype=self.dtype)
-            step = kernels.make_fused_step(
-                adjacency, ones, ones, modulation, priors
-            )
-        else:
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-                propagated = np.asarray(adjacency @ current)
-                np.matmul(propagated, modulation, out=out)
-                if echo:
-                    # Echo cancellation subtracts each node's own (modulated)
-                    # echo: F <- X + W F H - D F H^2 (linearized correction
-                    # term).
-                    out -= degrees[:, None] * (current @ echo_modulation)
-                out += priors
-                return out
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            propagated = np.asarray(adjacency @ current)
+            np.matmul(propagated, modulation, out=out)
+            if echo:
+                # Echo cancellation subtracts each node's own (modulated)
+                # echo: F <- X + W F H - D F H^2 (linearized correction
+                # term).
+                out -= degrees[:, None] * (current @ echo_modulation)
+            out += priors
+            return out
 
         initial = priors
         if warm_start is not None:
@@ -269,72 +253,10 @@ class LinBPPropagator(Propagator):
                 if drift != 0.0:
                     initial = initial + drift * (initial - priors)
 
-        coarse_iterations = 0
-        coarse_residuals: list[float] = []
-        budget = self.max_iterations
-        if (
-            warm_start is not None
-            and self.mixed_precision_warm
-            and not echo
-            and self.dtype == np.float64
-            and budget > 2
-        ):
-            # Mixed-precision resume: burn down the residual in float32
-            # (half the memory traffic of the dominant W @ F product), then
-            # polish to the float64 fixed point.  One float64 probe sweep
-            # measures how far the warm start actually is — a
-            # nearly-converged resume skips the float32 phase, whose cast
-            # noise would only re-dirty the iterate.  The float32 budget is
-            # capped regardless, so a pathological stall costs bounded cheap
-            # sweeps, never the run.
-            switch_tolerance = max(2e-6, 50.0 * self.tolerance)
-            probe, probe_iterations, probe_converged, probe_residuals = (
-                fixed_point_iterate(step, initial, 1, self.tolerance)
-            )
-            coarse_iterations += probe_iterations
-            coarse_residuals += probe_residuals
-            budget -= probe_iterations
-            initial = probe
-            if not probe_converged and probe_residuals[-1] > switch_tolerance:
-                adjacency32 = operators.cast_adjacency(np.float32)
-                modulation32 = modulation.astype(np.float32)
-                priors32 = priors.astype(np.float32)
-
-                if kernels.use_fused_dense():
-                    ones32 = np.ones(operators.n_nodes, dtype=np.float32)
-                    coarse_step = kernels.make_fused_step(
-                        adjacency32, ones32, ones32, modulation32, priors32
-                    )
-                else:
-                    def coarse_step(
-                        current: np.ndarray, out: np.ndarray
-                    ) -> np.ndarray:
-                        propagated = np.asarray(adjacency32 @ current)
-                        np.matmul(propagated, modulation32, out=out)
-                        out += priors32
-                        return out
-
-                coarse, fast_iterations, _, fast_residuals = fixed_point_iterate(
-                    coarse_step,
-                    initial.astype(np.float32),
-                    min(budget, 80),
-                    switch_tolerance,
-                )
-                coarse_iterations += fast_iterations
-                coarse_residuals += fast_residuals
-                budget = max(0, budget - fast_iterations)
-                initial = coarse.astype(np.float64)
-
         beliefs, n_iterations, converged, residuals = fixed_point_iterate(
-            step, initial, budget, self.tolerance
+            step, initial, self.max_iterations, self.tolerance
         )
-        return (
-            beliefs,
-            coarse_iterations + n_iterations,
-            converged,
-            coarse_residuals + residuals,
-            {"scaling": float(scaling)},
-        )
+        return beliefs, n_iterations, converged, residuals, {"scaling": float(scaling)}
 
 
 @register_propagator()

@@ -41,6 +41,7 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.propagation import kernels
+from repro.propagation.kernels import reference
 
 __all__ = ["LinearFixedPoint", "LocalizedHint", "solve_localized"]
 
@@ -146,8 +147,6 @@ def solve_localized(
         else np.ascontiguousarray(spec.coupling, dtype=np.float64)
     )
 
-    backend = kernels.active_backend()
-    impl = kernels.get_kernels()
     epsilon = float(epsilon)
     max_rounds = max(1, int(max_rounds))
 
@@ -155,14 +154,14 @@ def solve_localized(
         rows = np.unique(np.asarray(hint.rows, dtype=np.int64).ravel())
         rows = rows[(rows >= 0) & (rows < n_nodes)]
         residual = np.zeros_like(beliefs)
-        seeded_nnz = impl.seed_residual_rows(
+        seeded_nnz = reference.seed_residual_rows(
             indptr, indices, data, rowscale, colscale, coupling,
             offset, beliefs, rows, residual,
         )
         candidates = rows
         seed_rows = int(rows.shape[0])
     else:
-        residual = impl.full_residual(
+        residual = reference.full_residual(
             indptr, indices, data, rowscale, colscale, coupling,
             offset, beliefs,
         )
@@ -177,13 +176,13 @@ def solve_localized(
         frontier = np.empty(0, dtype=np.int64)
 
     history = np.zeros(max_rounds, dtype=np.float64)
-    rounds, converged, pushed_nnz, max_frontier = impl.push_rounds(
+    rounds, converged, pushed_nnz, max_frontier = reference.push_rounds(
         indptr, indices, data, rowscale, colscale, coupling,
         beliefs, residual, frontier, epsilon, max_rounds, history,
     )
     stats = {
         "localized": True,
-        "kernel_backend": backend,
+        "kernel_backend": kernels.active_backend(),
         "seed_rows": seed_rows,
         "initial_frontier": int(frontier.shape[0]),
         "max_frontier": int(max_frontier),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.operators import GraphOperators, operators_for
-from repro.propagation import kernels
 from repro.propagation.engine import (
     Propagator,
     fixed_point_iterate,
@@ -137,26 +136,17 @@ class MultiRankWalkPropagator(Propagator):
     ) -> tuple[np.ndarray, int, bool, list[float], dict]:
         if seed_labels is None:
             raise ValueError("MultiRankWalk needs seed_labels for its teleports")
-        n_nodes = operators.n_nodes
         teleports = self._teleports(seed_labels, n_classes, self.dtype)
         alpha = 1.0 - self.restart_probability
         restart_mass = self.restart_probability * teleports
 
-        if kernels.use_fused_dense():
-            step = kernels.make_fused_step(
-                operators.cast_adjacency(self.dtype),
-                np.full(n_nodes, alpha, dtype=self.dtype),
-                operators.inverse_degrees.astype(self.dtype),
-                None, restart_mass,
-            )
-        else:
-            walk_matrix = operators.column_normalized
+        walk_matrix = operators.column_normalized
 
-            def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-                walked = np.asarray(walk_matrix @ current)
-                np.multiply(walked, alpha, out=walked)
-                walked += restart_mass
-                return walked
+        def step(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+            walked = np.asarray(walk_matrix @ current)
+            np.multiply(walked, alpha, out=walked)
+            walked += restart_mass
+            return walked
 
         initial = teleports
         if warm_start is not None:

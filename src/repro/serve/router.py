@@ -207,6 +207,8 @@ class Router:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
                 handle.process.kill()
                 handle.process.wait(timeout=5.0)
+            if handle.port_file is not None:
+                handle.port_file.unlink(missing_ok=True)
         if self._owned_tmp is not None:
             self._owned_tmp.cleanup()
             self._owned_tmp = None
@@ -264,7 +266,9 @@ class Router:
             try:
                 text = handle.port_file.read_text().strip()
                 if text:
-                    return int(text)
+                    port = int(text)
+                    handle.port_file.unlink()
+                    return port
             except (FileNotFoundError, ValueError):
                 pass
             time.sleep(0.02)

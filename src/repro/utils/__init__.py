@@ -1,4 +1,4 @@
-"""Shared utilities: matrix helpers, validation, timing and RNG handling."""
+"""Shared utilities: matrix helpers, validation and RNG handling."""
 
 from repro.utils.matrix import (
     center_columns,
@@ -13,7 +13,6 @@ from repro.utils.matrix import (
     to_csr,
 )
 from repro.utils.rng import ensure_rng
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_adjacency,
     check_labels,
@@ -22,7 +21,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "center_columns",
     "center_matrix",
     "check_adjacency",

@@ -202,21 +202,6 @@ class TestDisabledSwitch:
         )
 
 
-class TestTimerDeprecation:
-    def test_timer_warns_once_per_process(self):
-        from repro.utils import timer as timer_module
-
-        timer_module._warned = False
-        with pytest.warns(DeprecationWarning, match="obs.span"):
-            timer_module.Timer()
-        # Second construction stays silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            timer_module.Timer()
-
-
 class TestStatsCommand:
     def test_stats_renders_trace_file(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

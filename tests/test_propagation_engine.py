@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.compatibility import homophily_compatibility, skew_compatibility
 from repro.core.estimators import GoldStandard
 from repro.eval.experiment import run_experiment
 from repro.eval.seeding import stratified_seed_indices
+from repro.graph import generate_graph
+from repro.graph.graph import one_hot_labels
 from repro.propagation import (
     ESTIMATORS,
     PROPAGATORS,
@@ -26,6 +29,8 @@ from repro.propagation import (
     propagator_names,
     register_propagator,
 )
+from repro.propagation.push import LocalizedHint
+from repro.utils.matrix import center_columns, center_matrix
 
 
 EXPECTED_PROPAGATORS = {
@@ -477,27 +482,69 @@ class TestWarmStart:
         again = LegacyPropagator().propagate(graph, partial, warm_start=result)
         np.testing.assert_array_equal(again.beliefs, result.beliefs)
 
-    def test_mixed_precision_resume_matches_pure_float64(self, problem):
-        graph, partial = problem
+    @staticmethod
+    def linbp_direct_solve(adjacency, partial, compatibility, scaling):
+        """Solve ``(I - eps H^T (x) W) vec F = vec X`` densely.
+
+        Returns the exact centered LinBP fixed point and the 2-norm ``q``
+        of the iteration operator ``eps H^T (x) W``.
+        """
+        priors = center_columns(
+            one_hot_labels(partial, compatibility.shape[0]).toarray()
+        )
+        coupling = scaling * center_matrix(compatibility)
+        dense = adjacency.toarray()
+        n, k = priors.shape
+        system = np.eye(n * k) - np.kron(coupling.T, dense)
+        exact = np.linalg.solve(system, priors.ravel(order="F"))
+        q = np.linalg.norm(coupling, 2) * np.linalg.norm(dense, 2)
+        return exact.reshape((n, k), order="F"), q
+
+    @pytest.mark.parametrize("n_nodes, seed", [(60, 0), (150, 1), (300, 2)])
+    def test_cold_warm_localized_match_dense_direct_solve(self, n_nodes, seed):
         compatibility = skew_compatibility(3, h=3.0)
-        mixed = get_propagator("linbp", max_iterations=300, tolerance=1e-9)
-        pure = get_propagator(
-            "linbp", max_iterations=300, tolerance=1e-9,
-            mixed_precision_warm=False,
+        graph = generate_graph(n_nodes, 5 * n_nodes, compatibility, seed=seed)
+        seeds = stratified_seed_indices(
+            graph.labels, fraction=0.1, rng=np.random.default_rng(seed)
         )
-        cold = pure.propagate(graph, partial, compatibility=compatibility)
-        # Perturb the start so both paths actually iterate.
-        start = cold.beliefs + 1e-3
-        warm_mixed = mixed.propagate(
-            graph, partial, compatibility=compatibility, warm_start=start
+        partial = graph.partial_labels(seeds)
+        # A delta of new edges moves both the fixed point and rho(W), so
+        # the resumes below also exercise the epsilon-drift correction.
+        rng = np.random.default_rng(100 + seed)
+        dense = graph.adjacency.toarray()
+        pairs = rng.integers(0, n_nodes, size=(4 * n_nodes, 2))
+        pairs = pairs[(pairs[:, 0] != pairs[:, 1])
+                      & (dense[pairs[:, 0], pairs[:, 1]] == 0)][:n_nodes // 10]
+        dense[pairs[:, 0], pairs[:, 1]] = dense[pairs[:, 1], pairs[:, 0]] = 1.0
+        changed = sp.csr_matrix(dense)
+        touched = np.unique(pairs)
+        hint_rows = np.union1d(touched, changed[touched].indices)
+
+        tolerance = 1e-9
+        engine = get_propagator("linbp", max_iterations=2000, tolerance=tolerance)
+        before = engine.propagate(graph.adjacency, partial, compatibility=compatibility)
+        cold = engine.propagate(changed, partial, compatibility=compatibility)
+        warm = engine.propagate(
+            changed, partial, compatibility=compatibility, warm_start=before
         )
-        warm_pure = pure.propagate(
-            graph, partial, compatibility=compatibility, warm_start=start
+        localized = engine.propagate(
+            changed, partial, compatibility=compatibility, warm_start=before,
+            localized=LocalizedHint(rows=hint_rows),
         )
-        np.testing.assert_allclose(
-            warm_mixed.beliefs, warm_pure.beliefs, atol=1e-7
+        assert before.details["scaling"] != cold.details["scaling"]
+        exact, q = self.linbp_direct_solve(
+            changed, partial, compatibility, cold.details["scaling"]
         )
-        assert warm_mixed.converged and warm_pure.converged
+        assert q < 1.0
+        # Each solver stops once its max-norm step (dense sweep) or residual
+        # (push) is below the tolerance; through the contraction q that
+        # bounds the 2-norm error by sqrt(n k) * tolerance / (1 - q).
+        bound = np.sqrt(exact.size) * tolerance / (1.0 - q)
+        for result in (cold, warm, localized):
+            assert result.converged
+            assert result.details["scaling"] == cold.details["scaling"]
+            assert np.linalg.norm(result.beliefs - exact) <= bound
+        assert localized.details["seed_rows"] == hint_rows.shape[0]
 
 
 class TestLanczosSpectralState:

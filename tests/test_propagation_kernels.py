@@ -2,12 +2,9 @@
 
 The load-bearing properties:
 
-* the jit module (running as pure Python when numba is absent, compiled
-  when it is present) produces **bitwise identical** results to the
-  reference numpy kernels — both implement the same accumulation order, so
-  the backend choice can never change any numeric outcome;
-* backend selection honours ``REPRO_KERNELS`` and fails loudly when numba
-  is requested but not installed;
+* each kernel's residual equals the dense formula
+  ``B + diag(rowscale) W diag(colscale) F C - F``, and a push leaves
+  behind exactly the residual of the beliefs it produced;
 * the residual-push solver reaches the dense fixed point of random linear
   systems, with hint-seeded solves matching full-seeded ones.
 """
@@ -19,18 +16,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.propagation import kernels
-from repro.propagation.kernels import (
-    KernelBackendError,
-    jit,
-    reference,
-)
+from repro.propagation.kernels import reference
 from repro.propagation.push import LinearFixedPoint, LocalizedHint, solve_localized
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend("auto")
 
 
 def random_system(seed: int, n: int = 120, k: int = 3, coupling: bool = True):
@@ -64,116 +51,72 @@ def csr_parts(W):
 COUPLING_CASES = [True, False]
 
 
-class TestBitwiseParityReferenceVsJit:
-    """jit (pure-python here; compiled under numba in CI) == reference, bitwise."""
+def dense_residual(W, rs, cs, C, B, F):
+    """The residual formula ``B + diag(rs) W diag(cs) F C - F``, densely."""
+    propagated = (rs[:, None] * W.toarray() * cs[None, :]) @ F
+    if C is not None:
+        propagated = propagated @ C
+    return B + propagated - F
+
+
+class TestKernelsMatchDenseFormula:
+    """Every kernel against the dense residual formula on random systems."""
 
     @pytest.mark.parametrize("coupling", COUPLING_CASES)
     def test_full_residual(self, coupling):
         W, rs, cs, C, B, F = random_system(0, coupling=coupling)
         indptr, indices, data = csr_parts(W)
-        got = jit.full_residual(indptr, indices, data, rs, cs, C, B, F.copy())
-        want = reference.full_residual(indptr, indices, data, rs, cs, C, B, F.copy())
-        np.testing.assert_array_equal(got, want)
+        got = reference.full_residual(indptr, indices, data, rs, cs, C, B, F.copy())
+        np.testing.assert_allclose(
+            got, dense_residual(W, rs, cs, C, B, F), rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("coupling", COUPLING_CASES)
     def test_seed_residual_rows(self, coupling):
         W, rs, cs, C, B, F = random_system(1, coupling=coupling)
         indptr, indices, data = csr_parts(W)
         rows = np.unique(np.random.default_rng(5).integers(0, W.shape[0], 17))
-        residual_jit = np.zeros_like(F)
-        residual_ref = np.zeros_like(F)
-        nnz_jit = jit.seed_residual_rows(
-            indptr, indices, data, rs, cs, C, B, F, rows, residual_jit
+        residual = np.zeros_like(F)
+        gathered = reference.seed_residual_rows(
+            indptr, indices, data, rs, cs, C, B, F, rows, residual
         )
-        nnz_ref = reference.seed_residual_rows(
-            indptr, indices, data, rs, cs, C, B, F, rows, residual_ref
+        assert gathered == int((indptr[rows + 1] - indptr[rows]).sum())
+        np.testing.assert_allclose(
+            residual[rows], dense_residual(W, rs, cs, C, B, F)[rows],
+            rtol=0, atol=1e-12,
         )
-        assert nnz_jit == nnz_ref
-        np.testing.assert_array_equal(residual_jit, residual_ref)
+        untouched = np.setdiff1d(np.arange(W.shape[0]), rows)
+        assert not residual[untouched].any()
 
     @pytest.mark.parametrize("coupling", COUPLING_CASES)
     def test_push_rounds(self, coupling):
         W, rs, cs, C, B, F = random_system(2, coupling=coupling)
         indptr, indices, data = csr_parts(W)
         epsilon = 1e-10
-        outcomes = []
-        for impl in (jit, reference):
-            beliefs = F.copy()
-            residual = impl.full_residual(
-                indptr, indices, data, rs, cs, C, B, beliefs
-            )
-            frontier = np.flatnonzero(np.abs(residual).max(axis=1) > epsilon)
-            history = np.zeros(500, dtype=np.float64)
-            out = impl.push_rounds(
-                indptr, indices, data, rs, cs, C,
-                beliefs, residual, frontier.astype(np.int64), epsilon, 500, history,
-            )
-            outcomes.append((beliefs, residual, history, out))
-        (b_jit, r_jit, h_jit, o_jit), (b_ref, r_ref, h_ref, o_ref) = outcomes
-        assert o_jit == o_ref  # rounds, converged, touched_nnz, max_frontier
-        np.testing.assert_array_equal(b_jit, b_ref)
-        np.testing.assert_array_equal(r_jit, r_ref)
-        np.testing.assert_array_equal(h_jit, h_ref)
-
-    @pytest.mark.parametrize("coupling", COUPLING_CASES)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_fused_sweep(self, coupling, dtype):
-        W, rs, cs, C, B, F = random_system(3, coupling=coupling)
-        indptr, indices, data = csr_parts(W)
-        data = data.astype(dtype)
-        rs, cs, B, F = (x.astype(dtype) for x in (rs, cs, B, F))
-        C = None if C is None else C.astype(dtype)
-        out_jit = np.empty_like(F)
-        out_ref = np.empty_like(F)
-        got = jit.fused_sweep(indptr, indices, data, rs, cs, C, B, F, out_jit)
-        want = reference.fused_sweep(indptr, indices, data, rs, cs, C, B, F, out_ref)
-        assert got.dtype == want.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+        beliefs = F.copy()
+        residual = reference.full_residual(
+            indptr, indices, data, rs, cs, C, B, beliefs
+        )
+        frontier = np.flatnonzero(np.abs(residual).max(axis=1) > epsilon)
+        history = np.zeros(500, dtype=np.float64)
+        rounds, converged, touched_nnz, max_frontier = reference.push_rounds(
+            indptr, indices, data, rs, cs, C,
+            beliefs, residual, frontier.astype(np.int64), epsilon, 500, history,
+        )
+        assert converged and 0 < rounds < 500
+        assert max_frontier == frontier.shape[0]
+        assert touched_nnz >= W.nnz
+        assert np.all(history[:rounds] > epsilon)
+        # The residual the push maintained incrementally is the exact
+        # residual of the beliefs it produced, and it is drained.
+        np.testing.assert_allclose(
+            residual, dense_residual(W, rs, cs, C, B, beliefs), rtol=0, atol=1e-12
+        )
+        assert np.abs(residual).max() <= epsilon
 
 
-class TestBackendSelection:
-    def test_default_backend_is_valid(self):
-        assert kernels.active_backend() in kernels.available_backends()
-
-    def test_explicit_numpy(self):
-        kernels.set_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-        assert kernels.get_kernels() is reference
-
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        kernels.set_backend()
-        assert kernels.active_backend() == "numpy"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(KernelBackendError, match="unknown kernel backend"):
-            kernels.set_backend("fortran")
-
-    def test_explicit_numba_without_package_fails_loudly(self):
-        if jit.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: explicit selection succeeds")
-        with pytest.raises(KernelBackendError, match="numba"):
-            kernels.set_backend("numba")
-
-    def test_auto_falls_back_quietly(self):
-        kernels.set_backend("auto")
-        expected = "numba" if jit.NUMBA_AVAILABLE else "numpy"
-        assert kernels.active_backend() == expected
-
-    def test_fused_dense_only_on_numba(self):
-        kernels.set_backend("numpy")
-        assert not kernels.use_fused_dense()
-
-    def test_warmup_runs_on_active_backend(self):
-        kernels.set_backend("numpy")
-        kernels.warmup()  # must not raise
-
-    @pytest.mark.skipif(not jit.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_backend_selectable_when_available(self):
-        kernels.set_backend("numba")
-        assert kernels.active_backend() == "numba"
-        assert kernels.use_fused_dense()
-        kernels.warmup()
+def test_active_backend_is_numpy():
+    assert kernels.active_backend() == "numpy"
 
 
 class TestSolveLocalized:
@@ -203,7 +146,7 @@ class TestSolveLocalized:
         exact = self.dense_fixed_point(W, rs, cs, C, B)
         assert converged
         assert np.abs(beliefs - exact).max() <= 1e-9
-        assert stats["kernel_backend"] in ("numpy", "numba")
+        assert stats["kernel_backend"] == "numpy"
         assert stats["touched_nnz"] >= W.nnz  # dense seeding counts the pass
         assert len(history) == rounds
 

@@ -12,6 +12,8 @@ Real subprocess workers (spawned exactly as production does, via
 * idempotency ids make proxy retries exactly-once;
 * fleet reads: ``/healthz`` aggregation, ``/fleet`` discovery,
   federated ``/metrics``, and ``repro top --router``.
+* shutdown: SIGTERM to the router alone stops its workers, and no
+  worker port file outlives the router.
 
 Workers are expensive to spawn (a full interpreter + numpy import), so
 one two-worker fleet is module-scoped and every test leaves it healthy.
@@ -22,10 +24,14 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +476,70 @@ class TestSpawnFailures:
         with pytest.raises(ServeError):
             router.start()
         router.close()
+
+
+# --------------------------------------------------------------- shutdown
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestShutdown:
+    def test_sigterm_to_router_stops_its_workers(self, tmp_path):
+        port_file = tmp_path / "router.port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))
+            if p
+        )
+        router = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
+             "--port", "0", "--port-file", str(port_file),
+             "--queue-dir", str(tmp_path / "q")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            start_new_session=True,
+        )
+        worker_pid = None
+        try:
+            deadline = time.monotonic() + 120.0
+            while not port_file.exists() or not port_file.read_text().strip():
+                assert router.poll() is None, router.stdout.read().decode()
+                assert time.monotonic() < deadline, "router never bound"
+                time.sleep(0.1)
+            base = f"http://127.0.0.1:{int(port_file.read_text())}"
+            _, fleet_listing = request(base, "GET", "/fleet")
+            worker_pid = fleet_listing["workers"][0]["pid"]
+            assert _process_alive(worker_pid)
+
+            router.send_signal(signal.SIGTERM)  # the router only
+            deadline = time.monotonic() + 10.0
+            while _process_alive(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _process_alive(worker_pid)
+            assert router.wait(timeout=30.0) == 0
+            assert b"shutting down fleet" in router.stdout.read()
+        finally:
+            if router.poll() is None:
+                os.killpg(router.pid, signal.SIGKILL)
+                router.wait(timeout=10.0)
+            if worker_pid is not None and _process_alive(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
+            router.stdout.close()
+
+    def test_no_worker_port_file_outlives_the_router(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        router = Router(1, queue_dir=tmp_path / "q", spawn_timeout=120.0)
+        router.start()
+        try:
+            assert not list(tmp_path.glob("repro-w*.port"))
+        finally:
+            router.close()
+        assert not list(tmp_path.glob("repro-w*.port"))

@@ -1,15 +1,12 @@
-"""Unit tests for repro.utils.validation and the RNG/Timer helpers."""
+"""Unit tests for repro.utils.validation and the RNG helpers."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_adjacency,
     check_fraction,
@@ -139,21 +136,3 @@ class TestRng:
         first = [g.integers(0, 10**6) for g in spawn_rngs(1, 4)]
         second = [g.integers(0, 10**6) for g in spawn_rngs(1, 4)]
         assert first == second
-
-
-class TestTimer:
-    def test_elapsed_accumulates(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        first = timer.elapsed
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed > first
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
